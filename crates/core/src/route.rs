@@ -59,7 +59,8 @@ use std::fmt;
 
 use crate::servable::ServableModel;
 use crate::serve::{
-    Clock, LatencyHistogram, ServeConfig, ServeError, ServeTelemetry, ServingEngine, VirtualClock,
+    replay, Clock, LatencyHistogram, Replay, ServeConfig, ServeError, ServeTelemetry,
+    ServingEngine, VirtualClock,
 };
 
 /// Tenant identifier carried by every routed request. Plain integers, so
@@ -153,6 +154,11 @@ pub enum RouteError {
         /// Width the request carried.
         got: usize,
     },
+    /// The request carries a NaN or infinite feature.
+    NonFinite {
+        /// Position of the first non-finite feature in the row.
+        index: usize,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -174,6 +180,7 @@ impl fmt::Display for RouteError {
             RouteError::InputDim { expected, got } => {
                 write!(f, "input width {got} does not match model width {expected}")
             }
+            RouteError::NonFinite { index } => write!(f, "input feature {index} is not finite"),
         }
     }
 }
@@ -501,8 +508,9 @@ impl<'a> Router<'a> {
     ///
     /// [`RouteError::QuotaExceeded`] when the tenant is at quota (quota
     /// shed, before dispatch), [`RouteError::Overloaded`] when the chosen
-    /// replica's queue is full (capacity shed), [`RouteError::InputDim`]
-    /// for a malformed row (rejected, not admitted).
+    /// replica's queue is full (capacity shed), [`RouteError::InputDim`] or
+    /// [`RouteError::NonFinite`] for a malformed row (rejected, not
+    /// admitted).
     pub fn submit(&mut self, tenant: TenantId, input: Vec<f32>) -> Result<u64, RouteError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -544,13 +552,14 @@ impl<'a> Router<'a> {
                 Err(RouteError::Overloaded { replica, queue_cap })
             }
             Err(ServeError::InputDim { expected, got }) => {
-                self.rejected += 1;
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.rejected += 1;
-                }
+                self.reject(tenant);
                 Err(RouteError::InputDim { expected, got })
             }
-            // `ServingEngine::submit` only fails with the two arms above;
+            Err(ServeError::NonFinite { index }) => {
+                self.reject(tenant);
+                Err(RouteError::NonFinite { index })
+            }
+            // `ServingEngine::submit` only fails with the three arms above;
             // a future variant would be a config-shaped bug, not traffic.
             Err(_) => Err(RouteError::InvalidConfig("replica rejected the request")),
         }
@@ -604,6 +613,14 @@ impl<'a> Router<'a> {
         }
     }
 
+    /// Counts one malformed request from `tenant`.
+    fn reject(&mut self, tenant: TenantId) {
+        self.rejected += 1;
+        if let Some(t) = self.tenants.get_mut(&tenant) {
+            t.rejected += 1;
+        }
+    }
+
     /// Moves one replica's finished responses into the router's ready list,
     /// re-keyed to global ids, and settles the quota ledger.
     fn harvest(&mut self, replica: usize) {
@@ -643,19 +660,19 @@ impl<'a> Router<'a> {
     }
 
     /// Deterministically replays a timed, multi-tenant request stream
-    /// against a fresh router and [`VirtualClock`]: the clock advances to
-    /// each arrival (processing any replica's deadline flush at its exact
-    /// due time first), every replica ticks once per distinct timestamp,
-    /// and a final drain answers every admitted request. With one replica
-    /// and no quota this is bitwise identical to [`ServingEngine::run`] on
-    /// the same stream. Seeded as a `taglets-lint` TL007 root: the whole
-    /// reachable route path must stay free of wall-clock reads.
+    /// against a fresh router and [`VirtualClock`], with the same loop as
+    /// [`ServingEngine::run`]; every replica ticks once per distinct
+    /// timestamp. With one replica and no quota this is bitwise identical
+    /// to [`ServingEngine::run`] on the same stream. Seeded as a
+    /// `taglets-lint` TL007 root: the whole reachable route path must stay
+    /// free of wall-clock reads.
     ///
     /// # Errors
     ///
-    /// [`RouteError::InvalidConfig`] from router construction or
-    /// [`RouteError::InputDim`] for a malformed row. Shedding is *not* an
-    /// error here: quota- or capacity-shed requests leave a `None` slot.
+    /// [`RouteError::InvalidConfig`] from router construction, or
+    /// [`RouteError::InputDim`] / [`RouteError::NonFinite`] for a malformed
+    /// row. Shedding is *not* an error here: quota- or capacity-shed
+    /// requests leave a `None` slot.
     pub fn run(
         model: &ServableModel,
         config: RouteConfig,
@@ -663,49 +680,51 @@ impl<'a> Router<'a> {
     ) -> Result<RouteRun, RouteError> {
         let clock = VirtualClock::new();
         let mut router = Router::new(model, config, &clock)?;
-        let mut last_time: Option<u64> = None;
-        for req in stream {
-            let target = req.at_nanos.max(clock.now_nanos());
-            if last_time != Some(target) {
-                // Fire any replica deadline that falls strictly before the
-                // new arrival at its exact due time, so deadline latencies
-                // are measured at the deadline, not at the next arrival.
-                while let Some(due) = router.next_deadline() {
-                    if due >= target {
-                        break;
-                    }
-                    clock.set_at_least(due);
-                    router.tick();
-                }
-                clock.set_at_least(target);
-                router.tick();
-                last_time = Some(target);
-            }
-            // lint: alloc(the replica takes an owned input; the stream is kept for the report)
-            match router.submit(req.tenant, req.input.clone()) {
-                Ok(_)
-                | Err(RouteError::QuotaExceeded { .. })
-                | Err(RouteError::Overloaded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(due) = router.next_deadline() {
-            clock.set_at_least(due);
-        }
-        router.drain();
-
-        // lint: alloc(one slot table per replay run)
-        let mut responses: Vec<Option<RouteResponse>> = vec![None; stream.len()];
-        for r in router.take_responses() {
-            let slot = r.id as usize;
-            if let Some(cell) = responses.get_mut(slot) {
-                *cell = Some(r);
-            }
-        }
+        let responses = replay(&mut router, &clock, stream)?;
         Ok(RouteRun {
             responses,
             telemetry: router.into_telemetry(),
         })
+    }
+}
+
+impl Replay for Router<'_> {
+    type Request = RoutedRequest;
+    type Response = RouteResponse;
+    type Error = RouteError;
+
+    fn arrival(req: &RoutedRequest) -> u64 {
+        req.at_nanos
+    }
+
+    fn response_id(resp: &RouteResponse) -> u64 {
+        resp.id
+    }
+
+    fn submit_replayed(&mut self, req: &RoutedRequest) -> Result<(), RouteError> {
+        // lint: alloc(the replica takes an owned input; the stream is kept for the report)
+        match self.submit(req.tenant, req.input.clone()) {
+            Ok(_) | Err(RouteError::QuotaExceeded { .. }) | Err(RouteError::Overloaded { .. }) => {
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        Router::next_deadline(self)
+    }
+
+    fn tick(&mut self) {
+        Router::tick(self)
+    }
+
+    fn drain(&mut self) {
+        Router::drain(self)
+    }
+
+    fn take_responses(&mut self) -> Vec<RouteResponse> {
+        Router::take_responses(self)
     }
 }
 
@@ -859,26 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_fleet_replays_deterministically_and_records_path_per_replica() {
-        use crate::serve::InferencePath;
-        let m = model();
-        let stream: Vec<RoutedRequest> = rows(18, 17)
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| RoutedRequest::new(i as u64 * 40, (i % 2) as TenantId, input))
-            .collect();
-        let mut cfg = config(3, DispatchPolicy::ConsistentHash, None);
-        cfg.serve.path = InferencePath::Int8;
-        let a = Router::run(&m, cfg.clone(), &stream).expect("replay succeeds");
-        let b = Router::run(&m, cfg, &stream).expect("replay succeeds");
-        assert_eq!(a, b, "int8 fleet replay is fully deterministic");
-        assert_eq!(a.telemetry.replicas.len(), 3);
-        for replica in &a.telemetry.replicas {
-            assert_eq!(replica.path, InferencePath::Int8);
-        }
-    }
-
-    #[test]
     fn telemetry_rates_are_well_defined_when_empty() {
         let t = RouteTelemetry {
             policy: DispatchPolicy::ConsistentHash,
@@ -911,5 +910,23 @@ mod tests {
         let t = router.into_telemetry();
         assert_eq!(t.rejected, 1);
         assert_eq!(t.tenants.get(&1).map(|t| t.rejected), Some(1));
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_and_counted() {
+        let m = model();
+        let clock = VirtualClock::new();
+        let mut router = Router::new(&m, config(2, DispatchPolicy::ConsistentHash, None), &clock)
+            .expect("valid config");
+        assert_eq!(
+            router.submit(3, vec![0.0, 1.0, f32::NAN, 2.0]),
+            Err(RouteError::NonFinite { index: 2 })
+        );
+        assert_eq!(router.total_load(), 0);
+        assert_eq!(router.outstanding(3), 0);
+        let t = router.into_telemetry();
+        assert_eq!(t.rejected, 1);
+        assert_eq!(t.tenants.get(&3).map(|t| t.rejected), Some(1));
+        assert_eq!(t.replicas.iter().map(|r| r.rejected).sum::<u64>(), 1);
     }
 }

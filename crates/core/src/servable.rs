@@ -5,35 +5,27 @@
 //! path — unlike the taglet ensemble, whose inference cost grows with the
 //! number of modules. The `serving_latency` bench quantifies the gap.
 
-use taglets_nn::{Classifier, InferScratch, Module, PackedWeights, QuantizedWeights};
+use taglets_nn::{Classifier, InferScratch, Module, PackedWeights};
 use taglets_tensor::Tensor;
 
 /// A production-ready classifier produced by the distillation stage.
 ///
 /// Wrapping packs every weight matrix into GEMM panel layout once
-/// ([`taglets_nn::PackedWeights`]) and quantizes an int8 sibling
-/// ([`taglets_nn::QuantizedWeights`]), so the serving hot path never
-/// repacks or requantizes weights per batch. The classifier is immutable
-/// behind this wrapper, which is what keeps both cached forms valid for
-/// its lifetime.
+/// ([`taglets_nn::PackedWeights`]), so the serving hot path never repacks
+/// weights per batch. The classifier is immutable behind this wrapper,
+/// which is what keeps the cached panels valid for its lifetime.
 #[derive(Debug, Clone)]
 pub struct ServableModel {
     classifier: Classifier,
     packed: PackedWeights,
-    quant: QuantizedWeights,
 }
 
 impl ServableModel {
-    /// Wraps a trained classifier for serving, pre-packing its weights in
-    /// both f32 panel and int8 row-quantized forms.
+    /// Wraps a trained classifier for serving, pre-packing its weights
+    /// into GEMM panels.
     pub fn new(classifier: Classifier) -> Self {
         let packed = classifier.pack_weights();
-        let quant = classifier.quantize_weights();
-        ServableModel {
-            classifier,
-            packed,
-            quant,
-        }
+        ServableModel { classifier, packed }
     }
 
     /// Class probabilities for a batch.
@@ -55,27 +47,6 @@ impl ServableModel {
     pub fn predict_proba_batched(&self, x: &Tensor, scratch: &mut InferScratch) -> Tensor {
         self.classifier
             .predict_proba_packed(x, &self.packed, scratch)
-    }
-
-    /// Class probabilities via the int8 row-quantized serving path — a
-    /// *lossy* speed/accuracy trade selected by
-    /// [`crate::serve::InferencePath::Int8`]. Deterministic (exact i32
-    /// accumulation, worker-count independent) but **not** bitwise equal to
-    /// the f32 paths, which remain the accuracy oracle; the nn-level test
-    /// suite bounds argmax agreement and max-prob delta against them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 2 or its width differs from
-    /// [`ServableModel::input_dim`].
-    pub fn predict_proba_quantized(&self, x: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        self.classifier
-            .predict_proba_quantized(x, &self.quant, scratch)
-    }
-
-    /// Serving footprint of the int8 weight form in bytes.
-    pub fn quantized_num_bytes(&self) -> usize {
-        self.quant.num_bytes()
     }
 
     /// Predicted class per row.
@@ -203,40 +174,6 @@ mod tests {
         assert_eq!(
             m.predict_proba_batched(&x, &mut scratch).data(),
             m.predict_proba(&x).data()
-        );
-    }
-
-    #[test]
-    fn quantized_path_agrees_with_f32_on_argmax_and_survives_reload() {
-        let mut rng = StdRng::seed_from_u64(11);
-        // A random (non-zero) head: a fresh classifier's zero-initialised
-        // head outputs uniform probabilities, which would make this
-        // comparison vacuous.
-        let backbone = taglets_nn::Mlp::new(&[6, 24, 16], 0.0, &mut rng);
-        let head = taglets_nn::Linear::new(16, 4, &mut rng);
-        let m = ServableModel::new(Classifier::from_parts(backbone, head));
-        let x = Tensor::randn(&[16, 6], 1.0, &mut rng);
-        let mut scratch = InferScratch::new();
-        let f32_probs = m.predict_proba_batched(&x, &mut scratch);
-        let q_probs = m.predict_proba_quantized(&x, &mut scratch);
-        assert_eq!(q_probs.shape(), f32_probs.shape());
-        for r in 0..16 {
-            assert_eq!(
-                taglets_tensor::argmax_slice(q_probs.row(r)),
-                taglets_tensor::argmax_slice(f32_probs.row(r)),
-                "row {r}: int8 must not flip the prediction on this model"
-            );
-        }
-        assert!(m.quantized_num_bytes() > 0);
-
-        // Quantized weights are re-derived at load (not serialized), so a
-        // save/load round trip must reproduce the int8 outputs exactly.
-        let mut buf = Vec::new();
-        m.save(&mut buf).unwrap();
-        let loaded = ServableModel::load(buf.as_slice()).unwrap();
-        assert_eq!(
-            loaded.predict_proba_quantized(&x, &mut scratch).data(),
-            q_probs.data()
         );
     }
 

@@ -112,34 +112,6 @@ impl Clock for VirtualClock {
 // Config and errors
 // ---------------------------------------------------------------------
 
-/// Which forward pass the engine runs per batch.
-///
-/// `F32` is the accuracy oracle: bitwise identical to the per-request tape
-/// path (the module-level determinism argument). `Int8` trades a bounded
-/// accuracy loss for speed at serving-scale layer widths — deterministic
-/// (exact i32 accumulation) but *not* bitwise equal to f32, so its
-/// cache/replay guarantees are "identical to the int8 forward pass", with
-/// argmax-agreement and max-prob-delta bounds against the oracle pinned by
-/// the `taglets-nn` test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePath {
-    /// Full-precision packed-panel forward pass (the default and oracle).
-    #[default]
-    F32,
-    /// Row-quantized int8 forward pass with fused dequant+bias epilogue.
-    Int8,
-}
-
-impl InferencePath {
-    /// Stable lower-case label used by reports and bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            InferencePath::F32 => "f32",
-            InferencePath::Int8 => "int8",
-        }
-    }
-}
-
 /// Tuning knobs of a [`ServingEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -158,8 +130,6 @@ pub struct ServeConfig {
     /// Worker threads for batch dispatch, resolved through the
     /// `TAGLETS_THREADS` environment override exactly like training runs.
     pub concurrency: Concurrency,
-    /// Forward pass used for batch execution (f32 oracle or int8).
-    pub path: InferencePath,
 }
 
 /// Hard ceiling on [`ServeConfig::max_batch`], so a corrupt config cannot
@@ -174,7 +144,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             cache_capacity: 1024,
             concurrency: Concurrency::Serial,
-            path: InferencePath::F32,
         }
     }
 }
@@ -196,6 +165,12 @@ pub enum ServeError {
         /// Width the request carried.
         got: usize,
     },
+    /// The request carries a NaN or infinite feature, which would come
+    /// back as NaN probabilities rather than an answer.
+    NonFinite {
+        /// Position of the first non-finite feature in the row.
+        index: usize,
+    },
     /// The configuration is unusable (zero batch size, zero queue, …).
     InvalidConfig(&'static str),
 }
@@ -208,6 +183,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::InputDim { expected, got } => {
                 write!(f, "input width {got} does not match model width {expected}")
+            }
+            ServeError::NonFinite { index } => {
+                write!(f, "input feature {index} is not finite")
             }
             ServeError::InvalidConfig(what) => write!(f, "invalid serve config: {what}"),
         }
@@ -333,7 +311,8 @@ pub struct ServeTelemetry {
     pub admitted: u64,
     /// Requests refused with [`ServeError::Overloaded`].
     pub shed: u64,
-    /// Requests refused with [`ServeError::InputDim`].
+    /// Requests refused as malformed ([`ServeError::InputDim`] or
+    /// [`ServeError::NonFinite`]).
     pub rejected: u64,
     /// Responses produced (cache hits + batch rows).
     pub answered: u64,
@@ -356,14 +335,10 @@ pub struct ServeTelemetry {
     pub latency: LatencyHistogram,
     /// Upper bound on worker threads batch dispatch may use.
     pub workers: usize,
-    /// Which forward pass served every batch (fixed per engine by
-    /// [`ServeConfig::path`] — recorded so reports can attribute latency
-    /// numbers to the right kernel).
-    pub path: InferencePath,
 }
 
 impl ServeTelemetry {
-    fn new(max_batch: usize, workers: usize, path: InferencePath) -> Self {
+    fn new(max_batch: usize, workers: usize) -> Self {
         ServeTelemetry {
             submitted: 0,
             admitted: 0,
@@ -379,7 +354,6 @@ impl ServeTelemetry {
             batch_sizes: vec![0; max_batch + 1],
             latency: LatencyHistogram::new(),
             workers,
-            path,
         }
     }
 
@@ -642,7 +616,7 @@ impl<'a> ServingEngine<'a> {
         let workers = concurrency.workers(config.max_batch);
         Ok(ServingEngine {
             model,
-            telemetry: ServeTelemetry::new(config.max_batch, workers, config.path),
+            telemetry: ServeTelemetry::new(config.max_batch, workers),
             cache: PredictionCache::new(config.cache_capacity),
             executor: Executor::new(concurrency),
             pending: VecDeque::new(),
@@ -688,8 +662,9 @@ impl<'a> ServingEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InputDim`] for a malformed row (not admitted),
-    /// [`ServeError::Overloaded`] when the queue is at `queue_cap` (shed).
+    /// [`ServeError::InputDim`] or [`ServeError::NonFinite`] for a
+    /// malformed row (rejected, not admitted), [`ServeError::Overloaded`]
+    /// when the queue is at `queue_cap` (shed).
     pub fn submit(&mut self, input: Vec<f32>) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -702,6 +677,10 @@ impl<'a> ServingEngine<'a> {
                 expected,
                 got: input.len(),
             });
+        }
+        if let Some(index) = input.iter().position(|v| !v.is_finite()) {
+            self.telemetry.rejected += 1;
+            return Err(ServeError::NonFinite { index });
         }
 
         if let Some((probs, predicted)) = self.cache.get(&input) {
@@ -804,21 +783,16 @@ impl<'a> ServingEngine<'a> {
             .collect(); // lint: alloc(one owned input tensor per cut batch)
 
         let model = self.model;
-        let path = self.config.path;
-        let infer_one_batch = |x: &Tensor, scratch: &mut InferScratch| match path {
-            InferencePath::F32 => model.predict_proba_batched(x, scratch),
-            InferencePath::Int8 => model.predict_proba_quantized(x, scratch),
-        };
         let probs: Vec<Tensor> = if tensors.len() == 1 {
             // Serial fast path: reuse the engine's preallocated scratch.
             // lint: alloc(one-element result list), panicfree(this branch checked len() == 1)
-            vec![infer_one_batch(&tensors[0], &mut self.scratch)]
+            vec![model.predict_proba_batched(&tensors[0], &mut self.scratch)]
         } else {
             let executor = self.executor;
             executor.map(tensors.len(), |i| {
                 let mut scratch = InferScratch::new();
                 // lint: panicfree(executor.map yields i < tensors.len())
-                infer_one_batch(&tensors[i], &mut scratch)
+                model.predict_proba_batched(&tensors[i], &mut scratch)
             })
         };
 
@@ -867,9 +841,10 @@ impl<'a> ServingEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] from engine construction or
-    /// [`ServeError::InputDim`] for a malformed row. Overload is *not* an
-    /// error here: shed requests simply leave a `None` slot.
+    /// [`ServeError::InvalidConfig`] from engine construction, or
+    /// [`ServeError::InputDim`] / [`ServeError::NonFinite`] for a malformed
+    /// row. Overload is *not* an error here: shed requests simply leave a
+    /// `None` slot.
     pub fn run(
         model: &ServableModel,
         config: ServeConfig,
@@ -877,48 +852,121 @@ impl<'a> ServingEngine<'a> {
     ) -> Result<ServeRun, ServeError> {
         let clock = VirtualClock::new();
         let mut engine = ServingEngine::new(model, config, &clock)?;
-        let mut last_time: Option<u64> = None;
-        for req in stream {
-            let target = req.at_nanos.max(clock.now_nanos());
-            if last_time != Some(target) {
-                // Fire any deadline that falls strictly before the new
-                // arrival at its exact due time, so deadline latencies are
-                // measured at the deadline, not at the next arrival.
-                while let Some(due) = engine.next_deadline() {
-                    if due >= target {
-                        break;
-                    }
-                    clock.set_at_least(due);
-                    engine.tick();
-                }
-                clock.set_at_least(target);
-                engine.tick();
-                last_time = Some(target);
-            }
-            // lint: alloc(the engine takes an owned input; the stream is kept for the report)
-            match engine.submit(req.input.clone()) {
-                Ok(_) | Err(ServeError::Overloaded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(due) = engine.next_deadline() {
-            clock.set_at_least(due);
-        }
-        engine.drain();
-
-        // lint: alloc(one slot table per replay run)
-        let mut responses: Vec<Option<ServeResponse>> = vec![None; stream.len()];
-        for r in engine.take_responses() {
-            let slot = r.id as usize;
-            if let Some(cell) = responses.get_mut(slot) {
-                *cell = Some(r);
-            }
-        }
+        let responses = replay(&mut engine, &clock, stream)?;
         Ok(ServeRun {
             responses,
             telemetry: engine.into_telemetry(),
         })
     }
+}
+
+impl Replay for ServingEngine<'_> {
+    type Request = TimedRequest;
+    type Response = ServeResponse;
+    type Error = ServeError;
+
+    fn arrival(req: &TimedRequest) -> u64 {
+        req.at_nanos
+    }
+
+    fn response_id(resp: &ServeResponse) -> u64 {
+        resp.id
+    }
+
+    fn submit_replayed(&mut self, req: &TimedRequest) -> Result<(), ServeError> {
+        // lint: alloc(the engine takes an owned input; the stream is kept for the report)
+        match self.submit(req.input.clone()) {
+            Ok(_) | Err(ServeError::Overloaded { .. }) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        ServingEngine::next_deadline(self)
+    }
+
+    fn tick(&mut self) {
+        ServingEngine::tick(self)
+    }
+
+    fn drain(&mut self) {
+        ServingEngine::drain(self)
+    }
+
+    fn take_responses(&mut self) -> Vec<ServeResponse> {
+        ServingEngine::take_responses(self)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replay driver
+// ---------------------------------------------------------------------
+
+/// The single-threaded control surface [`replay`] drives: a bare
+/// [`ServingEngine`], or a [`crate::route::Router`] in front of several.
+pub(crate) trait Replay {
+    /// One timed stream entry.
+    type Request;
+    /// One answered request, identified by its stream index.
+    type Response: Clone;
+    /// Why a request was refused outright (shedding is not an error).
+    type Error;
+
+    fn arrival(req: &Self::Request) -> u64;
+    fn response_id(resp: &Self::Response) -> u64;
+    /// Submits `req`: `Ok` when admitted or shed, `Err` when malformed.
+    fn submit_replayed(&mut self, req: &Self::Request) -> Result<(), Self::Error>;
+    fn next_deadline(&self) -> Option<u64>;
+    fn tick(&mut self);
+    fn drain(&mut self);
+    fn take_responses(&mut self) -> Vec<Self::Response>;
+}
+
+/// Replays `stream` against a fresh `server` reading `clock`, the loop
+/// behind both public `run` drivers: the clock advances to each arrival
+/// (processing any deadline flush at its exact due time first), the server
+/// ticks once per distinct timestamp, and a final drain answers every
+/// admitted request. Returns one slot per stream entry (`None` = shed);
+/// server ids count every submit, so a response's id is its stream index.
+pub(crate) fn replay<S: Replay>(
+    server: &mut S,
+    clock: &VirtualClock,
+    stream: &[S::Request],
+) -> Result<Vec<Option<S::Response>>, S::Error> {
+    let mut last_time: Option<u64> = None;
+    for req in stream {
+        let target = S::arrival(req).max(clock.now_nanos());
+        if last_time != Some(target) {
+            // Fire any deadline that falls strictly before the new
+            // arrival at its exact due time, so deadline latencies are
+            // measured at the deadline, not at the next arrival.
+            while let Some(due) = server.next_deadline() {
+                if due >= target {
+                    break;
+                }
+                clock.set_at_least(due);
+                server.tick();
+            }
+            clock.set_at_least(target);
+            server.tick();
+            last_time = Some(target);
+        }
+        server.submit_replayed(req)?;
+    }
+    if let Some(due) = server.next_deadline() {
+        clock.set_at_least(due);
+    }
+    server.drain();
+
+    // lint: alloc(one slot table per replay run)
+    let mut responses: Vec<Option<S::Response>> = vec![None; stream.len()];
+    for r in server.take_responses() {
+        let slot = S::response_id(&r) as usize;
+        if let Some(cell) = responses.get_mut(slot) {
+            *cell = Some(r);
+        }
+    }
+    Ok(responses)
 }
 
 #[cfg(test)]
@@ -1079,52 +1127,6 @@ mod tests {
         assert_eq!(t.shed + t.answered, t.submitted);
     }
 
-    /// A model whose head carries random (non-zero) weights — a fresh
-    /// classifier's zero head answers uniformly, which would make int8/f32
-    /// output comparisons vacuous.
-    fn nonuniform_model() -> ServableModel {
-        let mut rng = StdRng::seed_from_u64(42);
-        let backbone = taglets_nn::Mlp::new(&[4, 8], 0.0, &mut rng);
-        let head = taglets_nn::Linear::new(8, 3, &mut rng);
-        ServableModel::new(Classifier::from_parts(backbone, head))
-    }
-
-    #[test]
-    fn int8_path_serves_deterministically_and_is_recorded_in_telemetry() {
-        let m = nonuniform_model();
-        let stream: Vec<TimedRequest> = rows(12, 5)
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| TimedRequest::new(i as u64 * 50, input))
-            .collect();
-        let base = ServeConfig {
-            max_batch: 4,
-            max_delay_nanos: 120,
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        };
-        let int8_cfg = ServeConfig {
-            path: InferencePath::Int8,
-            ..base.clone()
-        };
-        let a = ServingEngine::run(&m, int8_cfg.clone(), &stream).unwrap();
-        let b = ServingEngine::run(&m, int8_cfg, &stream).unwrap();
-        assert_eq!(a, b, "int8 replay is fully deterministic");
-        assert_eq!(a.telemetry.path, InferencePath::Int8);
-
-        // The oracle run agrees on every argmax for this model: int8 may
-        // perturb probabilities but must not flip serving decisions here.
-        let oracle = ServingEngine::run(&m, base, &stream).unwrap();
-        assert_eq!(oracle.telemetry.path, InferencePath::F32);
-        let mut any_prob_differs = false;
-        for (qr, fr) in a.responses.iter().zip(&oracle.responses) {
-            let (q, f) = (qr.as_ref().unwrap(), fr.as_ref().unwrap());
-            assert_eq!(q.predicted, f.predicted);
-            any_prob_differs |= q.probs != f.probs;
-        }
-        assert!(any_prob_differs, "int8 is lossy, not a silent f32 alias");
-    }
-
     #[test]
     fn invalid_configs_are_rejected() {
         let m = model();
@@ -1167,6 +1169,24 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_input_is_rejected_not_answered() {
+        let m = model();
+        let clock = VirtualClock::new();
+        let mut engine = ServingEngine::new(&m, ServeConfig::default(), &clock).unwrap();
+        for (row, index) in [
+            (vec![0.5, f32::NAN, 1.0, 2.0], 1),
+            (vec![0.5, 1.0, 2.0, f32::INFINITY], 3),
+            (vec![f32::NEG_INFINITY, f32::NAN, 1.0, 2.0], 0),
+        ] {
+            assert_eq!(engine.submit(row), Err(ServeError::NonFinite { index }));
+        }
+        engine.drain();
+        assert!(engine.take_responses().is_empty());
+        let t = engine.telemetry();
+        assert_eq!((t.submitted, t.rejected, t.admitted), (3, 3, 0));
+    }
+
+    #[test]
     fn histogram_buckets_are_log_scale_with_fixed_edges() {
         assert_eq!(LatencyHistogram::bucket_of(0), 0);
         assert_eq!(LatencyHistogram::bucket_of(1), 1);
@@ -1190,7 +1210,7 @@ mod tests {
 
     #[test]
     fn telemetry_rates_are_well_defined() {
-        let t = ServeTelemetry::new(4, 1, InferencePath::F32);
+        let t = ServeTelemetry::new(4, 1);
         assert_eq!(t.cache_hit_rate(), 0.0);
         assert_eq!(t.mean_batch_size(), 0.0);
     }

@@ -13,10 +13,8 @@
 //! * `TAGLETS2` — one activation byte after the magic, then the v1 layout.
 //!   Writers emit v2; readers accept both.
 //!
-//! Quantized serving weights are deliberately *not* serialized: int8 packing
-//! ([`crate::Classifier::quantize_weights`]) is a deterministic pure function
-//! of the f32 parameters, so loaders re-derive them and the file stays a
-//! single source of truth (no risk of stale panels disagreeing with weights).
+//! `tests/model_file_fixture.rs` pins both versions against a checked-in
+//! v2 file written by an earlier build.
 
 use std::io::{self, Read, Write};
 

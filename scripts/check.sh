@@ -106,19 +106,27 @@ step "bench-shards" cargo bench --offline --quiet -p taglets-bench --bench scads
 step "kernels" cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 step "kernels-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor --features reference-kernels --test kernels
 
-# Fused-epilogue and int8-quantization contracts (ISSUE 10): bitwise
-# identity of the fused forward, quantization error bounds, the f32-oracle
-# agreement of the quantized path, and v1 serialization back-compat — run
-# serially and with the executor resolving TAGLETS_THREADS=4, since the
-# epilogue is applied inside per-row-block worker closures.
-step "fused-quant" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused quantized int8 epilogue legacy_v1
-step "fused-quant-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused quantized int8 epilogue legacy_v1
+# Fused-epilogue contracts: bitwise identity of the fused forward and v1
+# serialization back-compat — run serially and with the executor resolving
+# TAGLETS_THREADS=4, since the epilogue is applied inside per-row-block
+# worker closures.
+step "fused" cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
+step "fused-threads" env TAGLETS_THREADS=4 cargo test --offline --quiet -p taglets-tensor -p taglets-nn -p taglets-core --lib -- fused epilogue legacy_v1
+
+# Model-file back-compat against a v2 file checked in from an earlier
+# build: loading it (and its v1 rewrite) must reproduce recorded bits.
+step "model-file" cargo test --offline --quiet -p taglets-nn --test model_file_fixture
 
 # The kernels bench asserts blocked-vs-reference and fused-vs-unfused
-# bitwise identity on every timed configuration and enforces the fused,
-# int8, and serial-dispatch ratio gates. Run without --json so a gate run
+# bitwise identity on every timed configuration and enforces the fused and
+# serial-dispatch ratio gates. Run without --json so a gate run
 # never overwrites the checked-in BENCH_kernels.json baseline.
 step "bench-kernels" cargo bench --offline --quiet -p taglets-bench --bench kernels
+
+# perfbench is its own Cargo workspace, so the build and test steps above
+# never compile it; build it here so a library API change cannot break the
+# benchmark unseen. Same target directory as perfbench/run.py.
+step "perfbench-build" env CARGO_TARGET_DIR=.bench_build cargo build --offline --release --manifest-path perfbench/Cargo.toml
 
 # Dynamic concurrency checks (TSan/Miri) when a capable nightly toolchain
 # exists; scripts/sanitize.sh degrades to a documented skip otherwise, so

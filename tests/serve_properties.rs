@@ -19,10 +19,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use taglets::nn::Classifier;
 use taglets::tensor::Tensor;
-use taglets::{
-    Concurrency, InferencePath, ServableModel, ServeConfig, ServingEngine, TimedRequest,
-    VirtualClock,
-};
+use taglets::{Concurrency, ServableModel, ServeConfig, ServingEngine, TimedRequest, VirtualClock};
 
 const INPUT_DIM: usize = 5;
 const NUM_CLASSES: usize = 4;
@@ -80,7 +77,6 @@ fn config(
         } else {
             Concurrency::threads(workers)
         },
-        path: InferencePath::F32,
     }
 }
 
